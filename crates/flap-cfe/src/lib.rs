@@ -10,8 +10,9 @@
 //!   separability (`⊛`) and apartness (`#`) side conditions;
 //! * [`type_check`] — the Γ;Δ type system, with μ-types computed by
 //!   Kleene iteration;
-//! * [`naive_matches`] — a denotational membership oracle used by the
-//!   normalization-soundness tests (Theorem 3.8).
+//! * [`naive_matches`] and [`naive_value`] — denotational membership
+//!   and value oracles used by the normalization-soundness tests
+//!   (Theorem 3.8).
 //!
 //! Well-typed expressions are exactly the ones `flap-dgnf` can
 //! normalize to Deterministic Greibach Normal Form, which is what
@@ -49,5 +50,5 @@ mod ty;
 
 pub use check::{type_check, TypeError};
 pub use expr::{node_count, Cfe, CfeNode, EpsAction, MapAction, SeqAction, TokAction, VarId};
-pub use naive::naive_matches;
+pub use naive::{naive_matches, naive_value};
 pub use ty::Ty;

@@ -1,16 +1,18 @@
-//! A naive membership oracle for context-free expressions.
+//! Naive membership and value oracles for context-free expressions.
 //!
 //! [`naive_matches`] decides `w ∈ ⟦g⟧` directly from the denotational
 //! semantics of §3.4 (set of token strings), by memoized top-down
-//! search over spans. It is exponentially slower than parsing and
-//! exists purely as the *specification* side of differential tests:
-//! Theorem 3.8 (normalization soundness) says the DGNF grammar
-//! produced by `flap-dgnf` accepts exactly the strings this oracle
-//! accepts.
+//! search over spans. [`naive_value`] then computes the semantic
+//! value of the word's derivation by evaluating the actions along
+//! it. Both are exponentially slower than parsing and exist purely as
+//! the *specification* side of differential tests: Theorem 3.8
+//! (normalization soundness) says the DGNF grammar produced by
+//! `flap-dgnf` accepts exactly the strings this oracle accepts, with
+//! the same values.
 
 use std::collections::HashMap;
 
-use flap_lex::Token;
+use flap_lex::{Lexeme, Token};
 
 use crate::expr::{Cfe, CfeNode, VarId};
 
@@ -28,6 +30,32 @@ pub fn naive_matches<V>(g: &Cfe<V>, w: &[Token]) -> bool {
         w,
     };
     search.matches(g, 0, w.len())
+}
+
+/// The semantic value of the token string `lexemes` (over `input`) in
+/// `g`, or `None` if the string is not in the language.
+///
+/// A well-typed expression is unambiguous — alternatives have
+/// disjoint languages and every sequence splits a word in at most one
+/// place — so each member word has exactly one derivation and its
+/// value is well defined: token actions receive their lexeme's bytes,
+/// and every other action is applied where the derivation uses it.
+///
+/// # Panics
+///
+/// If the derivation is not unique, which a well-typed expression
+/// rules out.
+pub fn naive_value<V>(g: &Cfe<V>, input: &[u8], lexemes: &[Lexeme]) -> Option<V> {
+    let w: Vec<Token> = lexemes.iter().map(|l| l.token).collect();
+    let bytes: Vec<&[u8]> = lexemes.iter().map(|l| l.bytes(input)).collect();
+    let mut search = Search {
+        env: HashMap::new(),
+        memo: HashMap::new(),
+        w: &w,
+    };
+    search
+        .matches(g, 0, w.len())
+        .then(|| search.value(g, 0, w.len(), &bytes))
 }
 
 struct Search<'a, 'g, V> {
@@ -72,6 +100,47 @@ impl<'g, V> Search<'_, 'g, V> {
         };
         self.memo.insert(key, Some(r));
         r
+    }
+
+    /// The value of the unique derivation of `w[i..j]` from `g`, which
+    /// must match that span; `lexemes[k]` holds the bytes of token `k`.
+    fn value(&mut self, g: &'g Cfe<V>, i: usize, j: usize, lexemes: &[&[u8]]) -> V {
+        match g.node() {
+            CfeNode::Bot => unreachable!("⊥ derives no word"),
+            CfeNode::Eps(f) => f(),
+            CfeNode::Tok(_, a) => a(lexemes[i]),
+            CfeNode::Map(inner, f) => f(self.value(inner, i, j, lexemes)),
+            CfeNode::Alt(a, b) => {
+                let in_a = self.matches(a, i, j);
+                assert!(
+                    !(in_a && self.matches(b, i, j)),
+                    "naive_value: both alternatives derive the word"
+                );
+                self.value(if in_a { a } else { b }, i, j, lexemes)
+            }
+            CfeNode::Seq(a, b, f) => {
+                let splits: Vec<usize> = (i..=j)
+                    .filter(|&k| self.matches(a, i, k) && self.matches(b, k, j))
+                    .collect();
+                assert_eq!(
+                    splits.len(),
+                    1,
+                    "naive_value: the sequence splits ambiguously"
+                );
+                let k = splits[0];
+                let x = self.value(a, i, k, lexemes);
+                let y = self.value(b, k, j, lexemes);
+                f(x, y)
+            }
+            CfeNode::Fix(v, body) => {
+                self.env.insert(*v, body);
+                self.value(body, i, j, lexemes)
+            }
+            CfeNode::Var(v) => {
+                let body = *self.env.get(v).expect("naive_value: unbound variable");
+                self.value(body, i, j, lexemes)
+            }
+        }
     }
 }
 
@@ -134,6 +203,38 @@ mod tests {
         assert!(naive_matches(&sexp, &[lpar, lpar, rpar, rpar]));
         assert!(!naive_matches(&sexp, &[rpar]));
         assert!(!naive_matches(&sexp, &[atom, atom]));
+    }
+
+    fn word(tokens: &[usize]) -> (Vec<u8>, Vec<Lexeme>) {
+        let input = tokens.iter().map(|&i| b'a' + i as u8).collect();
+        let lexemes = tokens
+            .iter()
+            .enumerate()
+            .map(|(k, &i)| Lexeme {
+                token: t(i),
+                start: k,
+                end: k + 1,
+            })
+            .collect();
+        (input, lexemes)
+    }
+
+    #[test]
+    fn values_follow_the_derivation() {
+        // μx. a·x ∨ b, as a right-nested string of lexemes
+        let name = |i| Cfe::tok_with(t(i), |lx| String::from_utf8_lossy(lx).into_owned());
+        let g = Cfe::fix(|x| {
+            name(0)
+                .then(x, |a, b| format!("({a} {b})"))
+                .or(name(1).map(|v| format!("m({v})")))
+        });
+        let (input, lexemes) = word(&[0, 0, 1]);
+        assert_eq!(
+            naive_value(&g, &input, &lexemes).as_deref(),
+            Some("(a (a m(b)))")
+        );
+        let (input, lexemes) = word(&[0, 1, 0]);
+        assert_eq!(naive_value(&g, &input, &lexemes), None);
     }
 
     #[test]

@@ -19,10 +19,11 @@
 //! stack: on entry the production's argument values are the topmost
 //! values (the lead's value — token or variable — followed by one
 //! value per tail nonterminal), and on exit they have been replaced by
-//! the single value of the production. Normalization composes these
-//! actions as it rearranges productions, so parsing a normalized
-//! grammar yields exactly the value the original combinator expression
-//! would have produced.
+//! the single value of the production. The action is a left fold over
+//! those arguments in stack order, so normalization composes actions
+//! by concatenating folds as it rearranges productions, and parsing a
+//! normalized grammar yields exactly the value the original combinator
+//! expression would have produced.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -58,81 +59,62 @@ impl fmt::Debug for NtId {
     }
 }
 
-/// One instruction of a [`Reduce`] program, operating on the value
-/// stack.
-pub enum ReduceOp<V> {
-    /// Pop `b`, pop `a`, push `f(a, b)` (a user sequencing action).
-    User(flap_cfe::SeqAction<V>),
-    /// Pop `v`, push `f(v)` (a user `map` action).
+/// One step of a [`Reduce`] fold, updating its accumulator.
+enum ReduceStep<V> {
+    /// `acc := f(acc, next argument)` (a user sequencing action).
+    Seq(flap_cfe::SeqAction<V>),
+    /// `acc := f(acc)` (a user `map` action).
     Map(flap_cfe::MapAction<V>),
-    /// Push `f()` (a user ε action).
-    PushEps(flap_cfe::EpsAction<V>),
-    /// Swap the top two values.
-    Swap,
-    /// Rotate the top `span` values right by one (top value moves
-    /// below the other `span − 1`).
-    RotR {
-        /// Number of affected stack slots.
-        span: u16,
-    },
-    /// Rotate the top `span` values left by `by`.
-    RotL {
-        /// Number of affected stack slots.
-        span: u16,
-        /// Rotation amount.
-        by: u16,
-    },
 }
 
-impl<V> Clone for ReduceOp<V> {
+impl<V> Clone for ReduceStep<V> {
     fn clone(&self) -> Self {
         match self {
-            ReduceOp::User(f) => ReduceOp::User(Arc::clone(f)),
-            ReduceOp::Map(f) => ReduceOp::Map(Arc::clone(f)),
-            ReduceOp::PushEps(f) => ReduceOp::PushEps(Arc::clone(f)),
-            ReduceOp::Swap => ReduceOp::Swap,
-            ReduceOp::RotR { span } => ReduceOp::RotR { span: *span },
-            ReduceOp::RotL { span, by } => ReduceOp::RotL {
-                span: *span,
-                by: *by,
-            },
+            ReduceStep::Seq(f) => ReduceStep::Seq(Arc::clone(f)),
+            ReduceStep::Map(f) => ReduceStep::Map(Arc::clone(f)),
         }
     }
 }
 
-impl<V> fmt::Debug for ReduceOp<V> {
+impl<V> fmt::Debug for ReduceStep<V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ReduceOp::User(_) => write!(f, "User"),
-            ReduceOp::Map(_) => write!(f, "Map"),
-            ReduceOp::PushEps(_) => write!(f, "PushEps"),
-            ReduceOp::Swap => write!(f, "Swap"),
-            ReduceOp::RotR { span } => write!(f, "RotR({span})"),
-            ReduceOp::RotL { span, by } => write!(f, "RotL({span},{by})"),
+            ReduceStep::Seq(_) => write!(f, "Seq"),
+            ReduceStep::Map(_) => write!(f, "Map"),
         }
     }
 }
 
-/// A semantic reduction: a short, flat program that pops this
-/// production's argument values from the top of the stack and pushes
-/// the production's single result.
+/// A semantic reduction: a left fold over this production's argument
+/// values, which sit on top of the value stack in order (the lead's
+/// value first, then one value per tail nonterminal).
 ///
-/// Normalization composes reductions as it rewrites productions
-/// (Fig 4); representing them as *data* rather than nested closures
-/// lets composition be concatenation with peephole simplification, so
-/// deeply-rewritten productions still reduce with a handful of
-/// non-nested operations — the semantic-action counterpart of the
-/// paper's "no indirect calls" generated-code property (§2.8).
+/// The accumulator starts as the ε start value `init()` if there is
+/// one, and as the first argument otherwise; each step then folds in
+/// the next argument (`Seq`) or transforms the accumulator (`Map`).
+/// The fold replaces its arguments with the final accumulator.
+///
+/// Normalization rewrites productions by appending to them (rule
+/// (seq)), wrapping them (`map`) or substituting a production for a
+/// leading variable (rule (fix)). Each of those puts the new
+/// arguments after the old ones, so every composition is plain
+/// concatenation of steps — no stack shuffles, and a deeply rewritten
+/// production still reduces with one flat pass of user calls. This is
+/// the semantic-action counterpart of the paper's "no indirect calls"
+/// generated-code property (§2.8).
 pub struct Reduce<V> {
-    ops: Arc<[ReduceOp<V>]>,
-    /// Number of argument values the program consumes.
+    init: Option<flap_cfe::EpsAction<V>>,
+    steps: Arc<[ReduceStep<V>]>,
+    /// Number of argument values the fold consumes: one per `Seq`
+    /// step, plus the first argument when there is no `init`.
     arity: u16,
 }
 
 impl<V> Clone for Reduce<V> {
     fn clone(&self) -> Self {
         Reduce {
-            ops: Arc::clone(&self.ops),
+            init: self.init.clone(),
+            steps: Arc::clone(&self.steps),
             arity: self.arity,
         }
     }
@@ -140,7 +122,8 @@ impl<V> Clone for Reduce<V> {
 
 impl<V> fmt::Debug for Reduce<V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Reduce(arity {}, {:?})", self.arity, self.ops)
+        let init = if self.init.is_some() { "ε, " } else { "" };
+        write!(f, "Reduce(arity {}, {init}{:?})", self.arity, self.steps)
     }
 }
 
@@ -149,7 +132,8 @@ impl<V> Reduce<V> {
     /// (`n → t`, `n → α`): the lone argument already is the result.
     pub fn identity() -> Reduce<V> {
         Reduce {
-            ops: Arc::from(Vec::new()),
+            init: None,
+            steps: Arc::from(Vec::new()),
             arity: 1,
         }
     }
@@ -157,15 +141,47 @@ impl<V> Reduce<V> {
     /// The ε reduction: push `f()`.
     pub fn eps(f: flap_cfe::EpsAction<V>) -> Reduce<V> {
         Reduce {
-            ops: Arc::from(vec![ReduceOp::PushEps(f)]),
+            init: Some(f),
+            steps: Arc::from(Vec::new()),
             arity: 0,
         }
     }
 
-    pub(crate) fn from_ops(ops: Vec<ReduceOp<V>>, arity: u16) -> Reduce<V> {
+    /// The two-argument fold `f(a, b)` (a user sequencing action).
+    pub(crate) fn seq(f: flap_cfe::SeqAction<V>) -> Reduce<V> {
         Reduce {
-            ops: Arc::from(ops),
-            arity,
+            init: None,
+            steps: Arc::from(vec![ReduceStep::Seq(f)]),
+            arity: 2,
+        }
+    }
+
+    /// The one-argument fold `f(a)` (a user `map` action).
+    pub(crate) fn map(f: flap_cfe::MapAction<V>) -> Reduce<V> {
+        Reduce {
+            init: None,
+            steps: Arc::from(vec![ReduceStep::Map(f)]),
+            arity: 1,
+        }
+    }
+
+    /// This fold, then `outer` starting from its result: `outer`'s
+    /// first argument is this fold's result and its other arguments
+    /// follow this fold's own, so composition is concatenation.
+    pub(crate) fn then(&self, outer: &Reduce<V>) -> Reduce<V> {
+        assert!(
+            outer.init.is_none(),
+            "an outer fold must start from its first argument"
+        );
+        Reduce {
+            init: self.init.clone(),
+            steps: self
+                .steps
+                .iter()
+                .chain(outer.steps.iter())
+                .cloned()
+                .collect(),
+            arity: self.arity + outer.arity - 1,
         }
     }
 
@@ -174,45 +190,39 @@ impl<V> Reduce<V> {
         self.arity
     }
 
-    /// The program, for composition and inspection.
-    pub fn ops(&self) -> &[ReduceOp<V>] {
-        &self.ops
-    }
-
     /// Whether running this reduction is a no-op (identity).
     pub fn is_identity(&self) -> bool {
-        self.ops.is_empty()
+        self.init.is_none() && self.steps.is_empty()
     }
 
-    /// Runs the program over the value stack.
+    /// Runs the fold over the value stack, replacing its `arity`
+    /// topmost values by the result.
+    ///
+    /// # Panics
+    ///
+    /// If the stack holds fewer than `arity` values.
     #[inline]
     pub fn run(&self, st: &mut Vec<V>) {
-        for op in self.ops.iter() {
-            match op {
-                ReduceOp::User(f) => {
-                    let b = st.pop().expect("value stack underflow");
-                    let a = st.pop().expect("value stack underflow");
-                    st.push(f(a, b));
-                }
-                ReduceOp::Map(f) => {
-                    let v = st.pop().expect("value stack underflow");
-                    st.push(f(v));
-                }
-                ReduceOp::PushEps(f) => st.push(f()),
-                ReduceOp::Swap => {
-                    let len = st.len();
-                    st.swap(len - 1, len - 2);
-                }
-                ReduceOp::RotR { span } => {
-                    let len = st.len();
-                    st[len - *span as usize..].rotate_right(1);
-                }
-                ReduceOp::RotL { span, by } => {
-                    let len = st.len();
-                    st[len - *span as usize..].rotate_left(*by as usize);
-                }
-            }
+        if self.is_identity() {
+            return;
         }
+        let base = st
+            .len()
+            .checked_sub(self.arity as usize)
+            .expect("value stack underflow");
+        let mut args = st.drain(base..);
+        let mut acc = match &self.init {
+            Some(f) => f(),
+            None => args.next().expect("arity counts the first argument"),
+        };
+        for step in self.steps.iter() {
+            acc = match step {
+                ReduceStep::Seq(f) => f(acc, args.next().expect("arity counts every Seq")),
+                ReduceStep::Map(f) => f(acc),
+            };
+        }
+        drop(args);
+        st.push(acc);
     }
 }
 

@@ -8,11 +8,13 @@
 //! Normalization composes reduces as it copies and rewrites
 //! productions:
 //!
-//! * **(seq)** appending `n₂` to a production wraps its reduce so the
-//!   extra topmost value is combined with the production's result;
-//! * **(fix)** substituting `n′ → α n̄′` by `n′ → N n̄′` splices the
-//!   inner production's reduce under the outer one with two in-place
-//!   stack rotations (no allocation at parse time).
+//! * **(seq)** appending `n₂` to a production appends a step that
+//!   folds `n₂`'s value into the production's result;
+//! * **(fix)** substituting `n′ → α n̄′` by `n′ → N n̄′` runs the inner
+//!   production's fold and continues with the outer one's steps.
+//!
+//! Reduces are left folds over the arguments in stack order, so each
+//! composition is concatenation of steps.
 //!
 //! One deviation from the literal Fig 4, taken from the appendix's
 //! "optimization that gets rid of n₃": a μ-variable in *reference*
@@ -28,9 +30,9 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use flap_cfe::{Cfe, CfeNode, MapAction, SeqAction, VarId};
+use flap_cfe::{Cfe, CfeNode, VarId};
 
-use crate::grammar::{trim, Grammar, GrammarBuilder, Lead, NtId, Prod, Reduce, ReduceOp};
+use crate::grammar::{trim, Grammar, GrammarBuilder, Lead, NtId, Prod, Reduce};
 
 /// Failures of normalization.
 ///
@@ -124,75 +126,6 @@ fn identity<V>() -> Reduce<V> {
     Reduce::identity()
 }
 
-/// Appends a right-rotation over `span` slots, simplifying the
-/// degenerate cases (`RotR 1` is a no-op, `RotR 2` is a swap, and two
-/// adjacent swaps cancel).
-fn push_rot_r<V>(ops: &mut Vec<ReduceOp<V>>, span: u16) {
-    match span {
-        0 | 1 => {}
-        2 => match ops.last() {
-            Some(ReduceOp::Swap) => {
-                ops.pop();
-            }
-            _ => ops.push(ReduceOp::Swap),
-        },
-        _ => ops.push(ReduceOp::RotR { span }),
-    }
-}
-
-/// Composes rule (seq): the production's own reduce runs first on its
-/// original arguments, then `combine` merges its result with the
-/// appended nonterminal's value (which sits on top).
-///
-/// As an op program: rotate the appended value below the inner
-/// arguments, run the inner program, swap, combine. For the common
-/// token-identity case this peepholes down to a single `User` op.
-fn seq_reduce<V: 'static>(inner: Reduce<V>, combine: SeqAction<V>) -> Reduce<V> {
-    let arity = inner.arity() + 1;
-    let mut ops: Vec<ReduceOp<V>> = Vec::with_capacity(inner.ops().len() + 3);
-    push_rot_r(&mut ops, arity);
-    ops.extend(inner.ops().iter().cloned());
-    push_rot_r(&mut ops, 2); // swap result below the appended value
-    ops.push(ReduceOp::User(combine));
-    Reduce::from_ops(ops, arity)
-}
-
-/// Composes `map f` over a production's reduce.
-fn map_reduce<V: 'static>(inner: Reduce<V>, f: MapAction<V>) -> Reduce<V> {
-    let arity = inner.arity();
-    let mut ops: Vec<ReduceOp<V>> = Vec::with_capacity(inner.ops().len() + 1);
-    ops.extend(inner.ops().iter().cloned());
-    ops.push(ReduceOp::Map(f));
-    Reduce::from_ops(ops, arity)
-}
-
-/// Composes rule (fix) substitution: `n′ → α n̄′` rewritten with an
-/// inner production `N` of the fixed point.
-///
-/// On entry the stack holds `[…, N-args(inner_arity), n̄′-values(t)]`.
-/// Two rotations bring the pieces to where each program expects them;
-/// with an empty outer tail both rotations vanish and the programs
-/// simply concatenate.
-fn subst_reduce<V: 'static>(inner: &Reduce<V>, outer_tail: u16, outer: &Reduce<V>) -> Reduce<V> {
-    let m = inner.arity();
-    let arity = m + outer_tail;
-    let mut ops: Vec<ReduceOp<V>> = Vec::with_capacity(inner.ops().len() + outer.ops().len() + 2);
-    if outer_tail > 0 && m > 0 {
-        if m + outer_tail == 2 {
-            push_rot_r(&mut ops, 2); // left rotation by 1 over 2 = swap
-        } else {
-            ops.push(ReduceOp::RotL {
-                span: m + outer_tail,
-                by: m,
-            });
-        }
-    }
-    ops.extend(inner.ops().iter().cloned());
-    push_rot_r(&mut ops, outer_tail + 1);
-    ops.extend(outer.ops().iter().cloned());
-    Reduce::from_ops(ops, arity)
-}
-
 impl<V: 'static> Normalizer<V> {
     /// Normalization in *copy* position: the caller will copy the
     /// returned nonterminal's productions, so a bare variable must be
@@ -270,7 +203,7 @@ impl<V: 'static> Normalizer<V> {
                             lead: p.lead,
                             tail,
                             tok_action: p.tok_action,
-                            reduce: seq_reduce(p.reduce, Arc::clone(combine)),
+                            reduce: p.reduce.then(&Reduce::seq(Arc::clone(combine))),
                         },
                     );
                 }
@@ -305,12 +238,12 @@ impl<V: 'static> Normalizer<V> {
                             lead: p.lead,
                             tail: p.tail,
                             tok_action: p.tok_action,
-                            reduce: map_reduce(p.reduce, Arc::clone(f)),
+                            reduce: p.reduce.then(&Reduce::map(Arc::clone(f))),
                         },
                     );
                 }
                 for e in entry.eps {
-                    self.b.push_eps(n, map_reduce(e, Arc::clone(f)));
+                    self.b.push_eps(n, e.then(&Reduce::map(Arc::clone(f))));
                 }
                 Ok(n)
             }
@@ -359,6 +292,8 @@ impl<V: 'static> Normalizer<V> {
                             self.b.entries[idx].prods.push(p);
                             continue;
                         }
+                        // N's arguments come first and fold into the
+                        // value that stood for α, where p's fold starts
                         let outer_tail = p.tail.len();
                         for inner in &body_entry.prods {
                             let mut tail = inner.tail.clone();
@@ -367,14 +302,14 @@ impl<V: 'static> Normalizer<V> {
                                 lead: inner.lead,
                                 tail,
                                 tok_action: inner.tok_action.clone(),
-                                reduce: subst_reduce(&inner.reduce, outer_tail as u16, &p.reduce),
+                                reduce: inner.reduce.then(&p.reduce),
                             });
                         }
                         for e in &body_entry.eps {
                             if outer_tail > 0 {
                                 return Err(NormalizeError::NullableVarHead);
                             }
-                            self.b.entries[idx].eps.push(subst_reduce(e, 0, &p.reduce));
+                            self.b.entries[idx].eps.push(e.then(&p.reduce));
                         }
                     }
                 }

@@ -9,10 +9,19 @@
 //! acceleration measured net-negative — token-shaped runs are too
 //! short to amortize the scanner dispatch — so per-byte stepping
 //! stays unconditional.) Longest-match
-//! bookkeeping is one conditional move (the mark bit); production
-//! completion pushes the tail nonterminals on an explicit control
-//! stack instead of making nested calls, so deeply nested inputs
-//! cannot overflow the machine stack.
+//! bookkeeping is one conditional move (the mark bit).
+//!
+//! When a token completes a production `n → t n₁ … n_k`, the VM goes
+//! straight on to scan `n₁`; the rest of the tail (`n_k … n₂`) and,
+//! unless the reduce is the identity, a `Reduce` entry below them go
+//! on an explicit control stack instead of into nested calls, so
+//! deeply nested inputs cannot overflow the machine stack. A
+//! production with no tail runs its reduce at once. Either way the
+//! reduce is one left fold over the production's arguments (see
+//! [`flap_dgnf::Reduce`]). The control stack holds the same entries
+//! at every suspension point as a VM that pushed `n₁` and popped it
+//! again, and every observer hook still fires, so streaming,
+//! incremental convergence and profiles are unaffected.
 //!
 //! ### One resumable hot loop
 //!
@@ -238,6 +247,8 @@ impl<V> CompiledParser<V> {
         last: bool,
         obs: &mut O,
     ) -> Flow {
+        let trans = self.trans.as_slice();
+        let class_map: &[u16; 256] = &self.class_map;
         let mut pos = 0usize;
         if !matches!(*resume, Resume::Trailing { .. }) {
             let mut suspended = match *resume {
@@ -253,7 +264,7 @@ impl<V> CompiledParser<V> {
                 // Resume a suspended scan (the token tail starts at
                 // buffer offset 0 by the retention invariant), or pop
                 // the next control entry and start a fresh one.
-                let (nt, mut tok_start, mut row, mut rs, mut i) = match suspended.take() {
+                let (mut nt, mut tok_start, mut row, mut rs, mut i) = match suspended.take() {
                     Some((nt, row, rs_len, scanned)) => (nt, 0, row, rs_len, scanned),
                     None => match control.pop() {
                         None => break 'outer,
@@ -282,7 +293,7 @@ impl<V> CompiledParser<V> {
                     let stop = loop {
                         if i >= input.len() {
                             if last {
-                                break decode_stop(self.trans[row]);
+                                break decode_stop(trans[row]);
                             }
                             // Out of bytes with the scan still live:
                             // a longer match may arrive in the next
@@ -298,9 +309,9 @@ impl<V> CompiledParser<V> {
                                 keep_from: tok_start,
                             };
                         }
-                        let e = self.trans[row + self.class_map[input[i] as usize] as usize];
+                        let e = trans[row + class_map[input[i] as usize] as usize];
                         if e == STOP {
-                            break decode_stop(self.trans[row]);
+                            break decode_stop(trans[row]);
                         }
                         i += 1;
                         if e & 1 == 1 {
@@ -351,18 +362,37 @@ impl<V> CompiledParser<V> {
                                     reduce,
                                 } => {
                                     obs.token(p, rs - tok_start);
+                                    // identity reductions (plain
+                                    // `n → t`) need no reduce at all
+                                    let reduces = ACTIONS && !reduce.is_identity();
                                     if ACTIONS {
                                         values.push(tok_action(&input[tok_start..rs]));
-                                        // identity reductions (plain
-                                        // `n → t`) need no round trip
-                                        if !reduce.is_identity() {
-                                            control.push(Ctl::Reduce(p));
-                                        }
                                     }
-                                    for &m in tail.iter().rev() {
+                                    let Some((&first, rest)) = tail.split_first() else {
+                                        // no tail: every argument is
+                                        // already on the value stack
+                                        if reduces {
+                                            reduce.run(values);
+                                            obs.reduce(p);
+                                        }
+                                        continue 'outer;
+                                    };
+                                    if reduces {
+                                        control.push(Ctl::Reduce(p));
+                                    }
+                                    for &m in rest.iter().rev() {
                                         control.push(Ctl::Nt(m));
                                     }
-                                    continue 'outer;
+                                    // scan the first tail nonterminal
+                                    // at once instead of pushing and
+                                    // popping it
+                                    nt = first;
+                                    tok_start = pos;
+                                    row = self.nt_start_row[nt as usize] as usize;
+                                    obs.nt_row(row as u32);
+                                    rs = pos;
+                                    i = pos;
+                                    continue 'token;
                                 }
                             }
                         }

@@ -1,7 +1,8 @@
 //! End-to-end observability tests: the differential guarantee that an
 //! observed parse returns exactly what the unobserved parse returns
 //! (all six grammars, valid and corrupted inputs), profiler
-//! accounting against ground truth, Chrome-trace export from a traced
+//! accounting against ground truth, pinned profiler totals on one
+//! document per grammar, Chrome-trace export from a traced
 //! worker pool — validated with the harness's dependency-free mini
 //! JSON parser — and the periodic metrics emitter.
 
@@ -282,5 +283,282 @@ fn metrics_emitter_writes_parseable_snapshot_lines() {
             .and_then(|l| l.get("count"))
             .and_then(Json::as_num),
         Some(8.0)
+    );
+}
+
+/// Every exact `ParseProfiler` total of one parse, with the per-rule
+/// and per-row tables as their nonzero `(index, count)` pairs.
+#[derive(Debug, PartialEq, Eq)]
+struct Totals {
+    bytes_lexed: u64,
+    bytes_skipped: u64,
+    tokens: u64,
+    reductions: Vec<(usize, u64)>,
+    eps_reductions: u64,
+    row_hits: Vec<(usize, u64)>,
+}
+
+fn nonzero(table: &[u64]) -> Vec<(usize, u64)> {
+    table
+        .iter()
+        .enumerate()
+        .filter(|(_, &c)| c > 0)
+        .map(|(i, &c)| (i, c))
+        .collect()
+}
+
+fn totals_of(prof: &ParseProfiler) -> Totals {
+    Totals {
+        bytes_lexed: prof.bytes_lexed,
+        bytes_skipped: prof.bytes_skipped,
+        tokens: prof.tokens(),
+        reductions: nonzero(&prof.reductions),
+        eps_reductions: prof.eps_reductions,
+        row_hits: nonzero(&prof.row_hits),
+    }
+}
+
+/// The pinned document: one seeded 2 KiB document, except arith,
+/// whose generator caps depth and yields a few dozen bytes, so its
+/// document is a `+` chain of eight parenthesized generated terms.
+fn pinned_document<V>(def: &GrammarDef<V>) -> Vec<u8> {
+    if def.name != "arith" {
+        return (def.generate)(7, 2 * 1024);
+    }
+    let terms: Vec<Vec<u8>> = (0..8)
+        .map(|seed| {
+            let mut t = b"(".to_vec();
+            t.extend((def.generate)(seed, 512));
+            t.push(b')');
+            t
+        })
+        .collect();
+    terms.join(&b" + "[..])
+}
+
+/// Parses the pinned document one-shot and in 64-byte chunks with a
+/// live profiler; both must report exactly `want`.
+fn pin<V: 'static>(def: &GrammarDef<V>, len: usize, want: Totals) {
+    let parser = def.flap_parser();
+    let mut session = parser.session();
+    let input = pinned_document(def);
+    assert_eq!(
+        input.len(),
+        len,
+        "[{}] the pinned document changed",
+        def.name
+    );
+    let mut prof = ParseProfiler::new();
+    parser
+        .parse_with_obs(&mut session, &input, &mut prof)
+        .expect("generated input parses");
+    assert_eq!(
+        totals_of(&prof),
+        want,
+        "[{}] one-shot totals moved",
+        def.name
+    );
+    prof.reset();
+    let mut stream = parser.stream(&mut session);
+    for piece in input.chunks(64) {
+        let step = stream.feed_obs(piece, &mut prof);
+        assert!(
+            matches!(step, flap::Step::NeedMore),
+            "[{}] mid-stream",
+            def.name
+        );
+    }
+    let step = stream.finish_obs(&mut prof);
+    assert!(
+        matches!(step, flap::Step::Done(_)),
+        "[{}] at finish",
+        def.name
+    );
+    assert_eq!(
+        totals_of(&prof),
+        want,
+        "[{}] streamed totals moved",
+        def.name
+    );
+}
+
+#[test]
+fn profiler_totals_are_pinned_on_all_grammars() {
+    // The exact event counts behind the benchmark's tokens_per_kb and
+    // reductions_per_kb figures. Dispatch shortcuts in the VM (tail
+    // jumps, eager reductions) must keep every observer hook, so
+    // these numbers may only change with the grammars or generators.
+    pin(
+        &flap_grammars::json::def(),
+        3487,
+        Totals {
+            bytes_lexed: 3264,
+            bytes_skipped: 223,
+            tokens: 803,
+            reductions: vec![
+                (0, 43),
+                (1, 18),
+                (10, 114),
+                (14, 114),
+                (16, 41),
+                (20, 68),
+                (22, 7),
+                (23, 2),
+                (24, 3),
+                (25, 5),
+            ],
+            eps_reductions: 70,
+            row_hits: vec![
+                (0, 447),
+                (26, 41),
+                (52, 155),
+                (78, 114),
+                (104, 114),
+                (130, 50),
+                (156, 50),
+                (182, 85),
+                (208, 20),
+                (234, 20),
+            ],
+        },
+    );
+    pin(
+        &flap_grammars::sexp::def(),
+        2091,
+        Totals {
+            bytes_lexed: 1727,
+            bytes_skipped: 364,
+            tokens: 480,
+            reductions: vec![(0, 1), (3, 76), (4, 326)],
+            eps_reductions: 77,
+            row_hits: vec![(0, 1), (7, 843), (14, 77)],
+        },
+    );
+    pin(
+        &flap_grammars::arith::def(),
+        760,
+        Totals {
+            bytes_lexed: 543,
+            bytes_skipped: 217,
+            tokens: 260,
+            reductions: vec![
+                (0, 8),
+                (1, 5),
+                (2, 27),
+                (3, 5),
+                (4, 8),
+                (18, 11),
+                (19, 6),
+                (25, 1),
+                (27, 13),
+                (28, 11),
+                (32, 7),
+                (33, 3),
+                (41, 16),
+                (43, 8),
+                (47, 5),
+                (54, 2),
+                (56, 5),
+                (57, 6),
+                (61, 4),
+                (62, 1),
+                (70, 7),
+                (71, 4),
+                (74, 2),
+                (76, 2),
+                (78, 2),
+                (79, 1),
+                (80, 1),
+            ],
+            eps_reductions: 159,
+            row_hits: vec![
+                (0, 84),
+                (22, 16),
+                (44, 16),
+                (66, 8),
+                (88, 5),
+                (110, 5),
+                (132, 8),
+                (154, 101),
+                (176, 1),
+                (198, 34),
+                (220, 64),
+                (242, 8),
+                (264, 61),
+                (308, 20),
+                (330, 48),
+                (352, 2),
+                (374, 18),
+                (396, 2),
+                (418, 10),
+                (440, 15),
+                (484, 30),
+                (528, 10),
+                (550, 22),
+                (572, 8),
+                (594, 40),
+            ],
+        },
+    );
+    pin(
+        &flap_grammars::pgn::def(),
+        2965,
+        Totals {
+            bytes_lexed: 2167,
+            bytes_skipped: 798,
+            tokens: 675,
+            reductions: vec![
+                (0, 1),
+                (9, 24),
+                (10, 5),
+                (24, 176),
+                (25, 362),
+                (26, 11),
+                (32, 4),
+            ],
+            eps_reductions: 1,
+            row_hits: vec![
+                (0, 1),
+                (22, 58),
+                (44, 29),
+                (66, 58),
+                (88, 29),
+                (110, 1154),
+                (132, 15),
+            ],
+        },
+    );
+    pin(
+        &flap_grammars::ppm::def(),
+        2022,
+        Totals {
+            bytes_lexed: 1406,
+            bytes_skipped: 616,
+            tokens: 550,
+            reductions: vec![(6, 546), (8, 1)],
+            eps_reductions: 1,
+            row_hits: vec![(0, 3), (8, 2), (16, 2), (24, 1131), (32, 1)],
+        },
+    );
+    pin(
+        &flap_grammars::csv::def(),
+        2065,
+        Totals {
+            bytes_lexed: 2065,
+            bytes_skipped: 0,
+            tokens: 629,
+            reductions: vec![
+                (0, 1),
+                (4, 193),
+                (5, 49),
+                (6, 20),
+                (8, 235),
+                (10, 48),
+                (11, 8),
+                (12, 9),
+            ],
+            eps_reductions: 1,
+            row_hits: vec![(0, 1), (6, 264), (12, 299), (18, 66)],
+        },
     );
 }

@@ -2,11 +2,13 @@
 //! random *well-typed* context-free expressions, the normalized DGNF
 //! grammar expands to exactly the token strings the denotational
 //! semantics admits, and every parser in the repo agrees on
-//! membership.
+//! membership and on the semantic value.
 
-use flap_cfe::{naive_matches, type_check, Cfe};
+use flap_cfe::{naive_matches, naive_value, type_check, Cfe};
 use flap_dgnf::{expand_words, normalize, parse_tokens};
-use flap_lex::{CompiledLexer, Lexeme, Token};
+use flap_fuse::{fuse, parse_fused};
+use flap_lex::{CompiledLexer, Lexeme, LexerBuilder, Token};
+use flap_staged::CompiledParser;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -16,25 +18,41 @@ fn t(i: usize) -> Token {
     Token::from_index(i)
 }
 
+/// The one-byte spelling of token `i`, which is also its name.
+fn name(i: usize) -> u8 {
+    b'a' + i as u8
+}
+
+/// A token whose value is its lexeme, i.e. its name.
+fn tok(i: usize) -> Cfe<String> {
+    Cfe::tok_with(t(i), |lx| String::from_utf8_lossy(lx).into_owned())
+}
+
 /// Generates a random CFE over 3 tokens; most are ill-typed and get
 /// filtered by the caller.
-fn random_cfe(rng: &mut StdRng, depth: usize, vars: &[Cfe<i64>]) -> Cfe<i64> {
+///
+/// The actions do not commute, so a value records its derivation: a
+/// token gives its name, `·` gives `(x y)`, `map` gives `m(x)` and ε
+/// gives `e`. A parser that folds arguments in the wrong order, or
+/// drops or repeats an action, returns a different string.
+fn random_cfe(rng: &mut StdRng, depth: usize, vars: &[Cfe<String>]) -> Cfe<String> {
     let leaf = depth == 0;
-    match rng.random_range(0..if leaf { 3 } else { 8 }) {
-        0 => Cfe::tok_val(t(rng.random_range(0..N_TOKENS)), 1),
-        1 => Cfe::eps(0),
+    match rng.random_range(0..if leaf { 3 } else { 9 }) {
+        0 => tok(rng.random_range(0..N_TOKENS)),
+        1 => Cfe::eps("e".to_string()),
         2 if !vars.is_empty() => vars[rng.random_range(0..vars.len())].clone(),
-        2 => Cfe::tok_val(t(rng.random_range(0..N_TOKENS)), 1),
+        2 => tok(rng.random_range(0..N_TOKENS)),
         3 | 4 => {
             let a = random_cfe(rng, depth - 1, vars);
             let b = random_cfe(rng, depth - 1, vars);
-            a.then(b, |x, y| x + y)
+            a.then(b, |x, y| format!("({x} {y})"))
         }
         5 | 6 => {
             let a = random_cfe(rng, depth - 1, vars);
             let b = random_cfe(rng, depth - 1, vars);
             a.or(b)
         }
+        7 => random_cfe(rng, depth - 1, vars).map(|x| format!("m({x})")),
         _ => {
             // μ: generate the body with the variable in scope
             let seed: u64 = rng.random();
@@ -67,6 +85,21 @@ fn all_words(max: usize) -> Vec<Vec<Token>> {
         frontier = next;
     }
     out
+}
+
+/// A word as synthetic one-byte lexemes over its spelling.
+fn lexemes_of(w: &[Token]) -> (Vec<u8>, Vec<Lexeme>) {
+    let input = w.iter().map(|tok| name(tok.index())).collect();
+    let lexemes = w
+        .iter()
+        .enumerate()
+        .map(|(i, &token)| Lexeme {
+            token,
+            start: i,
+            end: i + 1,
+        })
+        .collect();
+    (input, lexemes)
 }
 
 #[test]
@@ -118,21 +151,67 @@ fn dgnf_parser_agrees_with_membership() {
         tested += 1;
         let grammar = normalize(&g).expect("normalizes");
         for w in &words {
-            let lexemes: Vec<Lexeme> = w
-                .iter()
-                .enumerate()
-                .map(|(i, &tok)| Lexeme {
-                    token: tok,
-                    start: i,
-                    end: i + 1,
-                })
-                .collect();
-            let input = vec![b'x'; w.len()];
+            let (input, lexemes) = lexemes_of(w);
             let parsed = parse_tokens(&grammar, &input, &lexemes).is_ok();
             let member = naive_matches(&g, w);
             assert_eq!(parsed, member, "Fig 8 disagrees with semantics on {:?}", w);
         }
     }
+}
+
+#[test]
+fn every_parser_returns_the_oracle_value() {
+    // Value-level Theorem 3.8: on every word up to length 5, the
+    // staged parser, the unstaged fused parser and the Fig 8 parser
+    // all return exactly the value of the word's unique derivation
+    // (and all reject non-members). Most well-typed random grammars
+    // have tiny languages, so grammars are drawn until 50 member
+    // words of three or more tokens have been checked.
+    let mut rng = StdRng::seed_from_u64(20230412);
+    let words = all_words(5);
+    let mut tested = 0;
+    let mut long = 0;
+    while long < 50 && tested < 5000 {
+        let g = random_cfe(&mut rng, 3, &[]);
+        if type_check(&g).is_err() {
+            continue;
+        }
+        tested += 1;
+        let grammar = normalize(&g).expect("normalizes");
+        let mut b = LexerBuilder::new();
+        for i in 0..N_TOKENS {
+            let spelling = (name(i) as char).to_string();
+            assert_eq!(b.token(&spelling, &spelling).unwrap(), t(i));
+        }
+        let mut lexer = b.build().unwrap();
+        let fused = fuse(&mut lexer, &grammar).expect("fuses");
+        let staged = CompiledParser::compile(&mut lexer, &fused);
+        for w in &words {
+            let (input, lexemes) = lexemes_of(w);
+            let want = naive_value(&g, &input, &lexemes);
+            long += usize::from(want.is_some() && w.len() >= 3);
+            let got = [
+                ("staged", staged.parse(&input).ok()),
+                (
+                    "unstaged",
+                    parse_fused(&fused, lexer.arena_mut(), None, &input).ok(),
+                ),
+                ("Fig 8", parse_tokens(&grammar, &input, &lexemes).ok()),
+            ];
+            for (parser, value) in got {
+                assert_eq!(
+                    value,
+                    want,
+                    "{parser} parser on {:?} for grammar #{tested} ({g:?})",
+                    String::from_utf8_lossy(&input)
+                );
+            }
+        }
+    }
+    assert!(
+        long >= 50,
+        "only {long} long member words in {tested} grammars"
+    );
 }
 
 #[test]
