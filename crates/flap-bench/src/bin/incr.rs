@@ -1,5 +1,5 @@
 //! Incremental re-parse latency: a 1-byte edit in a multi-MB document
-//! vs a full from-scratch parse, at several checkpoint densities.
+//! vs a full from-scratch parse.
 //!
 //! Usage: `cargo run -p flap-bench --release --bin incr --
 //! [doc_mb] [--json] [--smoke [snapshot]]` (default 2 MB per
@@ -11,21 +11,27 @@
 //!   the resulting document's *schema* (grammars, intervals, stat
 //!   rows — not the machine-dependent numbers) against the checked-in
 //!   snapshot (default `BENCH_incremental.json`), exiting non-zero on
-//!   drift. CI runs this so the snapshot cannot silently fall out of
-//!   sync with the harness.
+//!   drift. It also fails if a validation re-parse scanned more than
+//!   [`MAX_VALIDATE_PARSED`] bytes, a count that does not depend on
+//!   the host. CI runs this so neither the snapshot nor the checkpoint
+//!   spacing can silently drift.
 //!
-//! Two workloads per grammar and checkpoint interval, both applying
-//! single-byte digit edits and re-parsing:
+//! Two workloads per grammar, both applying single-byte digit edits
+//! and re-parsing:
 //!
-//! * **validate** — `validate_incremental` after an edit at the
-//!   middle of the document: prefix reuse *plus* suffix convergence,
-//!   so the work is a couple of checkpoint intervals regardless of
-//!   document size. This is the headline row; the speedup column is
-//!   against a full `recognize` of the same document.
+//! * **validate** — `validate_incremental` at the default config
+//!   after an edit at the middle of the document: prefix reuse *plus*
+//!   suffix convergence, so the work is about one checkpoint spacing
+//!   regardless of document size. Validation spaces checkpoints by
+//!   their size and uses the interval only as a cap, so shallow
+//!   grammars give the same row at any interval; one row is measured.
+//!   This is the headline row; the speedup column is against a full
+//!   `recognize` of the same document.
 //! * **value** — `parse_incremental` after edits at the 10th, 50th
-//!   and 90th percentile offsets: prefix reuse only (semantic actions
-//!   must re-run downstream of the edit), so the saving tracks the
-//!   edit position. Speedups are against a full `parse`.
+//!   and 90th percentile offsets, at three checkpoint intervals:
+//!   prefix reuse only (semantic actions must re-run downstream of the
+//!   edit), so the saving tracks the edit position. Speedups are
+//!   against a full `parse`.
 //!
 //! Every timed re-parse is also checked against the from-scratch
 //! result, and the run aborts if reuse never happened — the bench
@@ -44,11 +50,16 @@ use flap::{IncrementalConfig, IncrementalSession, Parser};
 use flap_bench::json::{obj, Json};
 use flap_grammars::GrammarDef;
 
+/// Value-mode checkpoint intervals.
 const INTERVALS: [usize; 3] = [16 * 1024, 64 * 1024, 256 * 1024];
+/// Most bytes a default-config validation may re-scan after a 1-byte
+/// edit: two of the 4 KiB spacings shallow checkpoints get.
+const MAX_VALIDATE_PARSED: usize = 8 * 1024;
 /// Value-mode edit positions, as fractions of the document.
 const EDIT_FRACTIONS: [f64; 3] = [0.1, 0.5, 0.9];
 
 struct ValidateRow {
+    /// The default config's interval, which caps validation spacing.
     interval: usize,
     reparse_us: f64,
     /// `full_recognize / reparse`.
@@ -75,7 +86,7 @@ struct GrammarResult {
     doc_bytes: usize,
     full_parse_us: f64,
     full_recognize_us: f64,
-    validate: Vec<ValidateRow>,
+    validate: ValidateRow,
     value: Vec<ValueRow>,
 }
 
@@ -126,50 +137,43 @@ fn bench_one(def: &GrammarDef<i64>, doc_bytes: usize, iters: usize) -> GrammarRe
         full_recognize_us = full_recognize_us.min(t0.elapsed().as_secs_f64() * 1e6);
     }
 
-    let mut validate = Vec::new();
+    // -- validate: 1-byte edit mid-document, suffix convergence --
+    let config = IncrementalConfig::default();
+    let mut inc = parser.incremental_with(config);
+    inc.splice(0..0, &doc);
+    parser.validate_incremental(&mut inc).expect("validates");
+    let at = digit_at(&doc, 0.5);
+    let mut flip = true;
+    let mut best = f64::INFINITY;
+    for _ in 0..iters {
+        let (us, r) = timed_edit(&mut inc, at, &mut flip, |i| parser.validate_incremental(i));
+        r.expect("edited document stays valid");
+        best = best.min(us);
+        let st = inc.stats();
+        assert!(
+            st.converged && st.suffix_reused > 0 && st.prefix_reused > 0,
+            "{} validate: no prefix or suffix reuse ({st:?})",
+            def.name
+        );
+    }
+    // the timed runs above only flip a digit; the final document
+    // must still agree with a from-scratch recognize
+    assert_eq!(parser.recognize(inc.doc()), Ok(()));
+    let st = inc.stats();
+    let validate = ValidateRow {
+        interval: config.interval,
+        reparse_us: best,
+        speedup: full_recognize_us / best,
+        parsed: st.parsed,
+        suffix_reused: st.suffix_reused,
+        checkpoints: st.checkpoints,
+        retained_bytes: st.retained_bytes,
+        stats: st,
+    };
+
     let mut value = Vec::new();
     for interval in INTERVALS {
         let config = IncrementalConfig { interval };
-
-        // -- validate: 1-byte edit mid-document, suffix convergence --
-        let mut inc = parser.incremental_with(config);
-        inc.splice(0..0, &doc);
-        parser.validate_incremental(&mut inc).expect("validates");
-        let at = digit_at(&doc, 0.5);
-        let mut flip = true;
-        let mut best = f64::INFINITY;
-        for _ in 0..iters {
-            let (us, r) = timed_edit(&mut inc, at, &mut flip, |i| parser.validate_incremental(i));
-            r.expect("edited document stays valid");
-            best = best.min(us);
-            let st = inc.stats();
-            assert!(
-                st.converged && st.suffix_reused > 0,
-                "{} validate at interval {interval}: no suffix reuse ({st:?})",
-                def.name
-            );
-            // the first checkpoint lands one interval in; only then
-            // can a mid-document edit skip any prefix
-            assert!(
-                st.prefix_reused > 0 || at < interval,
-                "{} validate at interval {interval}: no prefix reuse ({st:?})",
-                def.name
-            );
-        }
-        // the timed runs above only flip a digit; the final document
-        // must still agree with a from-scratch recognize
-        assert_eq!(parser.recognize(inc.doc()), Ok(()));
-        let st = inc.stats();
-        validate.push(ValidateRow {
-            interval,
-            reparse_us: best,
-            speedup: full_recognize_us / best,
-            parsed: st.parsed,
-            suffix_reused: st.suffix_reused,
-            checkpoints: st.checkpoints,
-            retained_bytes: st.retained_bytes,
-            stats: st,
-        });
 
         // -- value: 1-byte edits at p10/p50/p90, prefix reuse only --
         let mut inc = parser.incremental_with(config);
@@ -221,12 +225,11 @@ fn bench_one(def: &GrammarDef<i64>, doc_bytes: usize, iters: usize) -> GrammarRe
 
 fn report(results: &[GrammarResult], doc_mb: f64, iters: usize) -> Json {
     let round1 = |v: f64| Json::Num((v * 10.0).round() / 10.0);
-    // headline: best validate speedup for the json grammar
+    // headline: the validate speedup for the json grammar
     let headline = results
         .iter()
         .find(|r| r.name == "json")
-        .map(|r| r.validate.iter().map(|v| v.speedup).fold(0.0f64, f64::max))
-        .unwrap_or(0.0);
+        .map_or(0.0, |r| r.validate.speedup);
     obj(vec![
         ("bench", Json::Str("incremental".to_string())),
         ("doc_mb", Json::Num(doc_mb)),
@@ -252,34 +255,18 @@ fn report(results: &[GrammarResult], doc_mb: f64, iters: usize) -> Json {
                                 ("doc_bytes", Json::Num(r.doc_bytes as f64)),
                                 ("full_parse_us", round1(r.full_parse_us)),
                                 ("full_recognize_us", round1(r.full_recognize_us)),
-                                (
-                                    "validate",
-                                    Json::Arr(
-                                        r.validate
-                                            .iter()
-                                            .map(|v| {
-                                                obj(vec![
-                                                    ("interval", Json::Num(v.interval as f64)),
-                                                    ("reparse_us", round1(v.reparse_us)),
-                                                    ("speedup", round1(v.speedup)),
-                                                    ("parsed", Json::Num(v.parsed as f64)),
-                                                    (
-                                                        "suffix_reused",
-                                                        Json::Num(v.suffix_reused as f64),
-                                                    ),
-                                                    (
-                                                        "checkpoints",
-                                                        Json::Num(v.checkpoints as f64),
-                                                    ),
-                                                    (
-                                                        "retained_bytes",
-                                                        Json::Num(v.retained_bytes as f64),
-                                                    ),
-                                                ])
-                                            })
-                                            .collect(),
-                                    ),
-                                ),
+                                ("validate", {
+                                    let v = &r.validate;
+                                    obj(vec![
+                                        ("interval", Json::Num(v.interval as f64)),
+                                        ("reparse_us", round1(v.reparse_us)),
+                                        ("speedup", round1(v.speedup)),
+                                        ("parsed", Json::Num(v.parsed as f64)),
+                                        ("suffix_reused", Json::Num(v.suffix_reused as f64)),
+                                        ("checkpoints", Json::Num(v.checkpoints as f64)),
+                                        ("retained_bytes", Json::Num(v.retained_bytes as f64)),
+                                    ])
+                                }),
                                 (
                                     "value",
                                     Json::Arr(
@@ -334,18 +321,17 @@ fn print_table(results: &[GrammarResult], doc_mb: f64, iters: usize) {
             "  {:<12}{:>14}{:>10}{:>12}{:>12}{:>12}",
             "validate", "reparse µs", "speedup", "parsed", "ckpts", "retained"
         );
-        for v in &r.validate {
-            println!(
-                "  {:<12}{:>14.1}{:>9.1}x{:>12}{:>12}{:>12}",
-                format!("{}K", v.interval / 1024),
-                v.reparse_us,
-                v.speedup,
-                v.parsed,
-                v.checkpoints,
-                v.retained_bytes
-            );
-            println!("               {}", v.stats);
-        }
+        let v = &r.validate;
+        println!(
+            "  {:<12}{:>14.1}{:>9.1}x{:>12}{:>12}{:>12}",
+            format!("≤{}K", v.interval / 1024),
+            v.reparse_us,
+            v.speedup,
+            v.parsed,
+            v.checkpoints,
+            v.retained_bytes
+        );
+        println!("               {}", v.stats);
         println!("  {:<12}{:>16}{:>16}{:>16}", "value", "p10", "p50", "p90");
         for v in &r.value {
             let cols: Vec<String> = v
@@ -402,7 +388,7 @@ fn parse_args() -> Options {
     }
     if opts.smoke.is_some() && !explicit_target {
         // fast CI pass — but the document must span the largest
-        // checkpoint interval or the reuse asserts have nothing to do
+        // value-mode interval or the reuse asserts have nothing to do
         opts.doc_mb = 1.0;
     }
     opts
@@ -434,6 +420,20 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
+        let mut ok = true;
+        for r in &results {
+            if r.validate.parsed > MAX_VALIDATE_PARSED {
+                eprintln!(
+                    "incremental --smoke: {} validation re-scanned {} B after a 1-byte edit \
+                     (limit {MAX_VALIDATE_PARSED} B): {}",
+                    r.name, r.validate.parsed, r.validate.stats
+                );
+                ok = false;
+            }
+        }
+        if !ok {
+            return ExitCode::FAILURE;
+        }
         if !snap.same_schema(&doc) {
             eprintln!(
                 "incremental --smoke: schema drift between {snapshot} and the harness.\n\

@@ -23,8 +23,8 @@
 //! flow through opaque user actions, so a value built from edited
 //! bytes — and every value downstream of it — must be rebuilt. The
 //! staged layer adds suffix convergence for validation, where no
-//! actions run and a 1-byte edit in a multi-MB document re-parses in
-//! a fraction of an interval's worth of work.
+//! actions run and a 1-byte edit in a multi-MB document re-parses
+//! about one checkpoint spacing (see [`IncrementalConfig::interval`]).
 //!
 //! This module also holds the engine-agnostic bookkeeping both layers
 //! share: the edit log ([`EditLog`], hidden) that applies
@@ -46,15 +46,28 @@ use crate::stream::{Step, StreamSnapshot};
 /// Tuning for an incremental session's checkpoint density.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct IncrementalConfig {
-    /// Target distance in bytes between checkpoints (default 64 KiB).
+    /// Distance in bytes between checkpoints of a value parse, and the
+    /// largest distance between checkpoints of a validation (default
+    /// 64 KiB).
     ///
-    /// Smaller intervals mean less re-parsing per edit (expected
-    /// re-parse work is about half an interval before reuse can kick
-    /// in) but more retained state: each checkpoint clones the
-    /// stepper's stacks, and about `doc_len / interval` checkpoints
-    /// are retained. Validation checkpoints are cheap (control stack
-    /// depth tracks grammar nesting only); value-parse checkpoints
-    /// also clone every pending semantic value.
+    /// A re-parse restarts from the last checkpoint at or before the
+    /// edit, so an edit costs the distance from that checkpoint to the
+    /// edit plus whatever follows it.
+    ///
+    /// * **Value parses** take a checkpoint every `interval` bytes and
+    ///   must then run to the end of the document. Each checkpoint
+    ///   clones the stepper's stacks, including every pending semantic
+    ///   value, and about `doc_len / interval` of them are retained.
+    /// * **Validations** space checkpoints by what each one costs: the
+    ///   next is taken `min(interval, max(4 KiB, 8 × size))` bytes
+    ///   after a checkpoint of `size` bytes (the first at 4 KiB). A
+    ///   re-validation then stops at the first recorded checkpoint
+    ///   past the edit where the state re-converges, so a small edit
+    ///   re-scans about one spacing — 4 KiB when control stacks are
+    ///   shallow. Retained checkpoints keep at most `doc_len / 8`
+    ///   bytes plus one checkpoint wherever the cap does not bind;
+    ///   deeply nested states, whose checkpoints are large, fall back
+    ///   to the `interval` cap.
     pub interval: usize,
 }
 
@@ -134,6 +147,9 @@ pub struct Ckpt<S> {
     /// `doc[snap.offset .. snap.offset + scanned]` at restore time and
     /// need not be stored.
     pub scanned: usize,
+    /// Approximate heap footprint, fixed when the checkpoint is taken
+    /// (summed into [`ReuseStats::retained_bytes`]).
+    pub bytes: usize,
     /// Engine-specific suspended state (stacks + resume point).
     pub state: S,
 }
@@ -146,23 +162,40 @@ impl<S> Ckpt<S> {
 }
 
 /// The engine-agnostic half of an incremental session: the document,
-/// the checkpoint logs, the previous outcome and the dirty window —
+/// the checkpoint log, the previous outcome and the dirty window —
 /// everything `splice` has to maintain, independent of which stepper
 /// the checkpoints belong to.
+///
+/// The log is one vector, ascending by scan position, in three zones:
+///
+/// * **confirmed** — checkpoints whose prefix of `doc` is unedited;
+///   restoring any of them is always sound;
+/// * **passed** — slots of stale checkpoints that the running
+///   re-parse has already gone past, recycled by [`EditLog::confirm`]
+///   and dropped when the re-parse ends (so empty between re-parses);
+/// * **stale** — checkpoints from the previous *completed* parse that
+///   lie beyond every edit since, shifted into current-document
+///   coordinates. Sound to reuse only if the new parse's automaton
+///   state re-converges with one of them at its (shifted) position.
+///
+/// An edit drops only the checkpoints it invalidates and shifts the
+/// later ones in place, convergence moves a zone boundary, and the
+/// retained footprint is a running sum: an edit's bookkeeping
+/// allocates nothing and, beyond a binary search, reads no checkpoint
+/// before the edit.
 ///
 /// Hidden machinery shared with `flap-staged` — not a stable API.
 #[doc(hidden)]
 pub struct EditLog<S> {
     /// Current document contents.
     pub doc: Vec<u8>,
-    /// Checkpoints whose prefix of `doc` is unedited, ascending by
-    /// scan position; restoring any of them is always sound.
-    pub confirmed: Vec<Ckpt<S>>,
-    /// Checkpoints from the previous *completed* parse that lie
-    /// beyond every edit since, shifted into current-document
-    /// coordinates. Sound to reuse only if the new parse's automaton
-    /// state re-converges with one of them at its (shifted) position.
-    pub stale: Vec<Ckpt<S>>,
+    /// Every checkpoint: `[..confirmed]` confirmed, `[confirmed..stale]`
+    /// passed, `[stale..]` stale.
+    ckpts: Vec<Ckpt<S>>,
+    confirmed: usize,
+    stale: usize,
+    /// Sum of [`Ckpt::bytes`] over `ckpts`.
+    retained: usize,
     /// Outcome of the previous completed parse, positions shifted
     /// into current-document coordinates; returned verbatim on suffix
     /// convergence.
@@ -176,75 +209,102 @@ fn count_nl(bytes: &[u8]) -> usize {
     bytes.iter().filter(|&&b| b == b'\n').count()
 }
 
-/// Shifts a `col_base` (global offset one past the last `\n` before
-/// some reference position `>= range.end` in the *old* document, 0 if
-/// none) across the edit `range -> replacement`.
-fn shift_col_base(
-    cb: usize,
-    range: &Range<usize>,
-    replacement: &[u8],
-    doc_new: &[u8],
-    delta: isize,
-) -> usize {
-    if cb > range.end {
-        // the governing newline sits strictly after the edit: shifted
-        (cb as isize + delta) as usize
-    } else if let Some(j) = replacement.iter().rposition(|&b| b == b'\n') {
-        // the replacement introduces a later newline
-        range.start + j + 1
-    } else if cb <= range.start {
-        // the governing newline (or start of input) precedes the edit
-        cb
-    } else {
-        // the governing newline was removed and nothing replaced it:
-        // rescan the unedited prefix for the previous one
-        doc_new[..range.start]
-            .iter()
-            .rposition(|&b| b == b'\n')
-            .map_or(0, |j| j + 1)
-    }
-}
-
-/// Shifts an error recorded against the old document (at `pos >=
-/// range.end`) into post-edit coordinates: byte offset by `delta`,
-/// line by `dl`, column via the shifted line start.
-fn shift_err(
-    e: FusedParseError,
-    range: &Range<usize>,
-    replacement: &[u8],
-    doc_new: &[u8],
+/// One edit `range -> replacement`, moving positions recorded against
+/// the pre-edit document at or after `range.end` into post-edit
+/// coordinates: byte offsets by the length change, line counts by the
+/// newline-count change, line starts as [`Shift::col_base`] explains.
+struct Shift<'a> {
+    range: Range<usize>,
     delta: isize,
     dl: isize,
-) -> FusedParseError {
-    let shift = |pos: usize, line: usize, col: usize| {
-        // col == pos - line_start + 1, so recover the line start,
-        // shift it like any other col_base, and rederive the column.
-        let cb = pos + 1 - col;
-        let pos2 = (pos as isize + delta) as usize;
-        let line2 = (line as isize + dl) as usize;
-        let cb2 = shift_col_base(cb, range, replacement, doc_new, delta);
-        (pos2, line2, pos2 - cb2 + 1)
-    };
-    match e {
-        FusedParseError::NoMatch {
-            pos,
-            line,
-            col,
-            nt,
-            expected,
-        } => {
-            let (pos, line, col) = shift(pos, line, col);
+    /// The post-edit document.
+    doc: &'a [u8],
+    /// Post-edit offset one past the replacement's last `\n`, if any,
+    /// found on first use (like `start_line`: a shift that needs
+    /// neither does not scan for them).
+    repl_nl: Option<Option<usize>>,
+    /// Post-edit line start of `range.start`, found on first use.
+    start_line: Option<usize>,
+}
+
+impl Shift<'_> {
+    fn pos(&self, p: usize) -> usize {
+        (p as isize + self.delta) as usize
+    }
+
+    fn line(&self, l: usize) -> usize {
+        (l as isize + self.dl) as usize
+    }
+
+    /// Shifts a `col_base` (global offset one past the last `\n`
+    /// before some reference position `>= range.end` in the *old*
+    /// document, 0 if none).
+    fn col_base(&mut self, cb: usize) -> usize {
+        if cb > self.range.end {
+            // the governing newline sits strictly after the edit: shifted
+            return self.pos(cb);
+        }
+        let (doc, start, new_end) = (self.doc, self.range.start, self.pos(self.range.end));
+        let repl_nl = *self.repl_nl.get_or_insert_with(|| {
+            doc[start..new_end]
+                .iter()
+                .rposition(|&b| b == b'\n')
+                .map(|j| start + j + 1)
+        });
+        if let Some(nl) = repl_nl {
+            // the replacement introduces a later newline
+            nl
+        } else if cb <= self.range.start {
+            // the governing newline (or start of input) precedes the edit
+            cb
+        } else {
+            // the governing newline was removed and nothing replaced it:
+            // the previous one in the unedited prefix governs
+            *self.start_line.get_or_insert_with(|| {
+                doc[..start]
+                    .iter()
+                    .rposition(|&b| b == b'\n')
+                    .map_or(0, |j| j + 1)
+            })
+        }
+    }
+
+    fn ckpt<S>(&mut self, c: &mut Ckpt<S>) {
+        c.snap.col_base = self.col_base(c.snap.col_base);
+        c.snap.offset = self.pos(c.snap.offset);
+        c.snap.lines_consumed = self.line(c.snap.lines_consumed);
+    }
+
+    /// Shifts an error recorded at `pos >= range.end`.
+    fn err(&mut self, e: FusedParseError) -> FusedParseError {
+        let mut shift = |pos: usize, line: usize, col: usize| {
+            // col == pos - line_start + 1, so recover the line start,
+            // shift it like any other col_base, and rederive the column.
+            let cb = self.col_base(pos + 1 - col);
+            let pos = self.pos(pos);
+            (pos, self.line(line), pos - cb + 1)
+        };
+        match e {
             FusedParseError::NoMatch {
                 pos,
                 line,
                 col,
                 nt,
                 expected,
+            } => {
+                let (pos, line, col) = shift(pos, line, col);
+                FusedParseError::NoMatch {
+                    pos,
+                    line,
+                    col,
+                    nt,
+                    expected,
+                }
             }
-        }
-        FusedParseError::TrailingInput { pos, line, col } => {
-            let (pos, line, col) = shift(pos, line, col);
-            FusedParseError::TrailingInput { pos, line, col }
+            FusedParseError::TrailingInput { pos, line, col } => {
+                let (pos, line, col) = shift(pos, line, col);
+                FusedParseError::TrailingInput { pos, line, col }
+            }
         }
     }
 }
@@ -254,8 +314,10 @@ impl<S> EditLog<S> {
     pub fn new() -> Self {
         EditLog {
             doc: Vec::new(),
-            confirmed: Vec::new(),
-            stale: Vec::new(),
+            ckpts: Vec::new(),
+            confirmed: 0,
+            stale: 0,
+            retained: 0,
             outcome: None,
             dirty: None,
         }
@@ -264,13 +326,14 @@ impl<S> EditLog<S> {
     /// Applies the edit `range -> replacement` to the document and
     /// reconciles all recorded state:
     ///
-    /// * checkpoints with `scan_pos <= range.start` stay confirmed
-    ///   (their prefix is untouched);
+    /// * confirmed checkpoints with `scan_pos <= range.start` stay
+    ///   confirmed (their prefix is untouched);
     /// * with `keep_stale`, checkpoints whose retained tail starts at
-    ///   or after `range.end` move to the stale set, offsets and
+    ///   or after `range.end` are (or stay) stale, offsets and
     ///   line/column accounting shifted into post-edit coordinates;
-    /// * everything else — checkpoints overlapping the edit — is
-    ///   dropped, as is a recorded outcome located inside it.
+    /// * everything else — checkpoints overlapping the edit, and stale
+    ///   ones before it, whose suffix now contains it — is dropped, as
+    ///   is a recorded outcome located inside the edit.
     ///
     /// # Panics
     ///
@@ -281,6 +344,7 @@ impl<S> EditLog<S> {
             "splice range {range:?} out of bounds for document of {} bytes",
             self.doc.len()
         );
+        self.drop_passed();
         let delta = replacement.len() as isize - range.len() as isize;
         let dl = count_nl(replacement) as isize - count_nl(&self.doc[range.clone()]) as isize;
         let _ = self.doc.splice(range.clone(), replacement.iter().copied());
@@ -303,56 +367,159 @@ impl<S> EditLog<S> {
             Some(d) => shift_pt(d.start).min(range.start)..shift_pt(d.end).max(new_end),
         });
 
-        // partition the checkpoint logs (both are sorted and
-        // confirmed precedes stale, so chaining preserves order)
-        let old: Vec<Ckpt<S>> = self
-            .confirmed
-            .drain(..)
-            .chain(self.stale.drain(..))
-            .collect();
-        for mut c in old {
-            if c.scan_pos() <= range.start {
-                self.confirmed.push(c);
-            } else if keep_stale && c.snap.offset >= range.end {
-                c.snap.col_base =
-                    shift_col_base(c.snap.col_base, &range, replacement, &self.doc, delta);
-                c.snap.offset = (c.snap.offset as isize + delta) as usize;
-                c.snap.lines_consumed = (c.snap.lines_consumed as isize + dl) as usize;
-                self.stale.push(c);
-            }
-        }
-
-        // shift (or drop) the recorded outcome the same way
+        let mut shift = Shift {
+            range: range.clone(),
+            delta,
+            dl,
+            doc: &self.doc,
+            repl_nl: None,
+            start_line: None,
+        };
         self.outcome = match self.outcome.take() {
             Some(Ok(())) => Some(Ok(())),
-            Some(Err(e)) if e.pos() >= range.end => {
-                Some(Err(shift_err(e, &range, replacement, &self.doc, delta, dl)))
-            }
+            Some(Err(e)) if e.pos() >= range.end => Some(Err(shift.err(e))),
             _ => None,
         };
-        if self.outcome.is_none() {
-            // convergence without an outcome to return would be
-            // meaningless — and an error inside the edit means no
-            // checkpoint beyond it was ever taken anyway
-            self.stale.clear();
+        // convergence without an outcome to return would be
+        // meaningless — and an error inside the edit means no
+        // checkpoint beyond it was ever taken anyway
+        let keep_stale = keep_stale && self.outcome.is_some();
+
+        let keep = self.ckpts[..self.confirmed].partition_point(|c| c.scan_pos() <= range.start);
+        let mut kept = keep;
+        if keep_stale {
+            for i in keep..self.ckpts.len() {
+                if self.ckpts[i].snap.offset >= range.end {
+                    shift.ckpt(&mut self.ckpts[i]);
+                    if kept != i {
+                        self.ckpts.swap(kept, i);
+                    }
+                    kept += 1;
+                }
+            }
         }
+        self.remove(kept..self.ckpts.len());
+        self.confirmed = keep;
+        self.stale = keep;
+    }
+
+    /// Starts a re-parse: drops confirmed checkpoints past the dirty
+    /// window's start, which leaves the restart point — the last
+    /// confirmed checkpoint at or before the window, or the last one
+    /// outright when the document is clean — last in
+    /// [`EditLog::confirmed`].
+    pub fn restart(&mut self) {
+        self.drop_passed();
+        let limit = self.dirty.as_ref().map_or(self.doc.len(), |d| d.start);
+        let cut = self.ckpts[..self.confirmed].partition_point(|c| c.scan_pos() <= limit);
+        self.remove(cut..self.confirmed);
+        self.confirmed = cut;
+        self.stale = cut;
+    }
+
+    /// The confirmed checkpoints, ascending by scan position.
+    pub fn confirmed(&self) -> &[Ckpt<S>] {
+        &self.ckpts[..self.confirmed]
+    }
+
+    /// The first stale checkpoint the running re-parse has not passed.
+    pub fn next_stale(&self) -> Option<&Ckpt<S>> {
+        self.ckpts.get(self.stale)
+    }
+
+    /// Marks the stale checkpoints at or before `pos` as passed.
+    pub fn pass(&mut self, pos: usize) {
+        while self
+            .ckpts
+            .get(self.stale)
+            .is_some_and(|c| c.scan_pos() <= pos)
+        {
+            self.stale += 1;
+        }
+    }
+
+    /// Records a checkpoint the running re-parse took at `c.scan_pos()`,
+    /// after [`EditLog::pass`] up to that position. A passed slot is
+    /// reused when there is one.
+    pub fn confirm(&mut self, c: Ckpt<S>) {
+        debug_assert!(
+            self.confirmed()
+                .last()
+                .is_none_or(|p| p.scan_pos() < c.scan_pos())
+                && self
+                    .next_stale()
+                    .is_none_or(|s| c.scan_pos() < s.scan_pos()),
+            "checkpoints must stay ascending by scan position"
+        );
+        self.retained += c.bytes;
+        if self.confirmed < self.stale {
+            let old = std::mem::replace(&mut self.ckpts[self.confirmed], c);
+            self.retained -= old.bytes;
+        } else {
+            self.ckpts.insert(self.confirmed, c);
+            self.stale += 1;
+        }
+        self.confirmed += 1;
+    }
+
+    /// Suffix convergence at [`EditLog::next_stale`]: drops the passed
+    /// slots — and with `drop_last` the last confirmed checkpoint —
+    /// confirms every remaining stale checkpoint, marks the document
+    /// clean and returns the recorded outcome.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there is no recorded outcome (there are then no stale
+    /// checkpoints to converge with).
+    pub fn converge(&mut self, drop_last: bool) -> Result<(), FusedParseError> {
+        if drop_last {
+            self.confirmed -= 1;
+        }
+        self.remove(self.confirmed..self.stale);
+        self.confirmed = self.ckpts.len();
+        self.stale = self.confirmed;
+        self.dirty = None;
+        self.outcome
+            .clone()
+            .expect("stale checkpoints imply a recorded outcome")
     }
 
     /// Records the verdict of a completed re-parse: the document is
     /// clean, the previous parse's leftovers are gone.
     pub fn complete(&mut self, outcome: Result<(), FusedParseError>) {
+        self.remove(self.confirmed..self.ckpts.len());
+        self.stale = self.confirmed;
         self.outcome = Some(outcome);
         self.dirty = None;
-        self.stale.clear();
     }
 
     /// Drops everything derived from past parses (grammar or mode
     /// changed); the document itself is kept and marked fully dirty.
     pub fn invalidate(&mut self) {
-        self.confirmed.clear();
-        self.stale.clear();
+        self.ckpts.clear();
+        self.confirmed = 0;
+        self.stale = 0;
+        self.retained = 0;
         self.outcome = None;
         self.dirty = Some(0..self.doc.len());
+    }
+
+    /// Approximate footprint of every checkpoint held; after a
+    /// re-parse, that of the confirmed ones.
+    pub fn retained_bytes(&self) -> usize {
+        self.retained
+    }
+
+    fn remove(&mut self, range: Range<usize>) {
+        for c in self.ckpts.drain(range) {
+            self.retained -= c.bytes;
+        }
+    }
+
+    /// Drops passed slots a re-parse left behind by unwinding.
+    fn drop_passed(&mut self) {
+        self.remove(self.confirmed..self.stale);
+        self.stale = self.confirmed;
     }
 }
 
@@ -466,13 +633,9 @@ pub fn parse_incremental_fused<V: Clone>(
     }
     let doc_len = inc.log.doc.len();
 
-    // Restart point: the last confirmed checkpoint at or before the
-    // dirty window (or the last one outright if the document is clean).
-    let limit = inc.log.dirty.as_ref().map_or(doc_len, |d| d.start);
-    let cut = inc.log.confirmed.partition_point(|c| c.scan_pos() <= limit);
-    inc.log.confirmed.truncate(cut);
+    inc.log.restart();
     let mut pos = 0usize;
-    match inc.log.confirmed.last() {
+    match inc.log.confirmed().last() {
         Some(c) => {
             pos = c.scan_pos();
             let s = &mut inc.scratch;
@@ -524,9 +687,13 @@ pub fn parse_incremental_fused<V: Clone>(
                 pos,
                 "suspension must have scanned every fed byte"
             );
-            inc.log.confirmed.push(Ckpt {
+            inc.log.confirm(Ckpt {
                 snap: s.stream.snapshot(),
                 scanned: s.stream.buf().len(),
+                bytes: size_of::<Ckpt<FuseState<V>>>()
+                    + s.control.len() * size_of::<Ctl>()
+                    + s.values.len() * size_of::<V>()
+                    + s.live.len() * size_of::<(RegexId, usize)>(),
                 state: FuseState {
                     control: s.control.clone(),
                     values: s.values.clone(),
@@ -538,33 +705,77 @@ pub fn parse_incremental_fused<V: Clone>(
         }
     };
 
-    inc.stats.checkpoints = inc.log.confirmed.len();
-    inc.stats.retained_bytes = inc
-        .log
-        .confirmed
-        .iter()
-        .map(|c| {
-            size_of::<Ckpt<FuseState<V>>>()
-                + c.state.control.len() * size_of::<Ctl>()
-                + c.state.values.len() * size_of::<V>()
-                + c.state.live.len() * size_of::<(RegexId, usize)>()
-        })
-        .sum();
-    match outcome {
-        Ok(v) => {
-            inc.log.complete(Ok(()));
-            Ok(v)
-        }
-        Err(e) => {
-            inc.log.complete(Err(e.clone()));
-            Err(e)
-        }
-    }
+    inc.log
+        .complete(outcome.as_ref().map(|_| ()).map_err(Clone::clone));
+    inc.stats.checkpoints = inc.log.confirmed().len();
+    inc.stats.retained_bytes = inc.log.retained_bytes();
+    outcome
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A stateless checkpoint resuming at `pos` with a 2-byte tail,
+    /// whose footprint is its position (so sums identify survivors).
+    fn ck(pos: usize) -> Ckpt<()> {
+        Ckpt {
+            snap: StreamSnapshot {
+                offset: pos - 2,
+                lines_consumed: 0,
+                col_base: 0,
+            },
+            scanned: 2,
+            bytes: pos,
+            state: (),
+        }
+    }
+
+    fn positions(cs: &[Ckpt<()>]) -> Vec<usize> {
+        cs.iter().map(Ckpt::scan_pos).collect()
+    }
+
+    #[test]
+    fn edit_log_keeps_zones_ordered_and_the_footprint_summed() {
+        let mut log = EditLog::new();
+        log.splice(0..0, &[b'x'; 100], true);
+        log.restart();
+        for p in (10..100).step_by(10) {
+            log.confirm(ck(p));
+        }
+        log.complete(Ok(()));
+        assert_eq!(log.retained_bytes(), (10..100).step_by(10).sum::<usize>());
+
+        // one byte becomes three inside the tail of the checkpoint at
+        // 50: it is dropped, earlier ones stay confirmed, later ones
+        // turn stale two bytes further on
+        log.splice(48..49, b"yyy", true);
+        assert_eq!(positions(log.confirmed()), [10, 20, 30, 40]);
+        assert_eq!(log.next_stale().map(Ckpt::scan_pos), Some(62));
+        assert_eq!(log.retained_bytes(), 100 + 60 + 70 + 80 + 90);
+
+        // a second edit after the stale checkpoint at 62 drops it: its
+        // suffix now holds an edit, so converging there would be wrong
+        log.splice(65..66, b"z", true);
+        assert_eq!(log.next_stale().map(Ckpt::scan_pos), Some(72));
+
+        // a re-parse passes the stale checkpoint at 72, takes one of
+        // its own in the passed slot, and converges at 82
+        log.restart();
+        assert_eq!(positions(log.confirmed()), [10, 20, 30, 40]);
+        log.pass(75);
+        log.confirm(ck(75));
+        assert_eq!(log.next_stale().map(Ckpt::scan_pos), Some(82));
+        assert_eq!(log.converge(false), Ok(()));
+        assert_eq!(positions(log.confirmed()), [10, 20, 30, 40, 75, 82, 92]);
+        assert_eq!(log.retained_bytes(), 100 + 75 + 80 + 90);
+        assert!(log.next_stale().is_none() && log.dirty.is_none());
+
+        // value sessions keep no stale checkpoints
+        log.splice(5..6, b"", false);
+        assert!(log.confirmed().is_empty() && log.next_stale().is_none());
+        assert_eq!(log.retained_bytes(), 0);
+    }
 
     #[test]
     fn reuse_stats_display_is_readable() {

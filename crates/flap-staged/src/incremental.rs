@@ -14,7 +14,13 @@
 //! determinism guarantees every remaining byte behaves identically —
 //! the previous outcome is returned with shifted positions and the
 //! parse stops there. A 1-byte edit in a multi-MB document then costs
-//! on the order of one checkpoint interval, not the document.
+//! about one checkpoint spacing, not the document.
+//!
+//! Validation checkpoints are spaced by their size (see
+//! [`IncrementalConfig::interval`]): shallow control stacks cost a few
+//! hundred bytes, so they are taken every 4 KiB or so and keep at most
+//! an eighth of the document; deep ones fall back to the configured
+//! interval.
 //!
 //! Value parses ([`CompiledParser::parse_incremental`]) cannot reuse
 //! suffixes: semantic actions are opaque folds, so a value built from
@@ -138,7 +144,30 @@ impl<V> IncrementalSession<V> {
     pub fn stats(&self) -> ReuseStats {
         self.stats
     }
+
+    /// Distance from a checkpoint of `bytes` (0 for the start of the
+    /// document) to the next one.
+    ///
+    /// Value parses use the configured interval: their checkpoints
+    /// clone semantic values whose deep size cannot be seen here.
+    /// Validation takes `min(interval, max(MIN_SPACING, SIZE_RATIO ×
+    /// bytes))`, which depends on the checkpoint alone. Every
+    /// checkpoint but the last then owns at least `SIZE_RATIO` times
+    /// its size in document bytes unless the cap binds, so retained
+    /// checkpoints keep at most `doc_len / SIZE_RATIO` plus one.
+    fn spacing(&self, bytes: usize) -> usize {
+        match self.mode {
+            Mode::Value => self.interval,
+            Mode::Validate => self.interval.min(MIN_SPACING.max(SIZE_RATIO * bytes)),
+        }
+    }
 }
+
+/// Closest spacing of validation checkpoints, in bytes.
+const MIN_SPACING: usize = 4 * 1024;
+/// Document bytes per retained checkpoint byte between validation
+/// checkpoints.
+const SIZE_RATIO: usize = 8;
 
 impl<V> Default for IncrementalSession<V> {
     fn default() -> Self {
@@ -217,10 +246,11 @@ fn feed_step<const A: bool, V, O: Observer>(
     }
 }
 
-fn ckpt_bytes<V>(c: &Ckpt<VmState<V>>) -> usize {
+/// Shallow footprint of a checkpoint of `s`'s current state.
+fn ckpt_bytes<V>(s: &ParseSession<V>) -> usize {
     size_of::<Ckpt<VmState<V>>>()
-        + c.state.control.len() * size_of::<Ctl>()
-        + c.state.values.len() * size_of::<V>()
+        + s.control.len() * size_of::<Ctl>()
+        + s.values.len() * size_of::<V>()
 }
 
 impl<V> CompiledParser<V> {
@@ -283,11 +313,16 @@ impl<V> CompiledParser<V> {
     /// remaining suffix, returning the previous outcome with
     /// positions shifted into post-edit coordinates.
     ///
-    /// This is the editor/LSP diagnostics workload: for a small edit
-    /// in a large document the cost is a couple of checkpoint
-    /// intervals, independent of document size
+    /// This is the editor/LSP diagnostics workload. A small edit
+    /// re-scans from the checkpoint before it to the first recorded
+    /// checkpoint after it where the state re-converges — usually one
+    /// checkpoint spacing, 4 KiB or a little more on shallow
+    /// documents, whatever the document's size
     /// ([`ReuseStats::converged`] reports whether the short-circuit
-    /// happened).
+    /// happened). Validation checkpoints are spaced by their size, so
+    /// together they keep at most `doc_len / 8` bytes plus one
+    /// checkpoint unless the [`IncrementalConfig::interval`] cap
+    /// binds (see there).
     ///
     /// # Errors
     ///
@@ -337,15 +372,13 @@ impl<V> CompiledParser<V> {
         }
         let doc_len = inc.log.doc.len();
 
-        // Restart point: the last confirmed checkpoint at or before
-        // the dirty window (or the last one outright when clean).
-        let limit = inc.log.dirty.as_ref().map_or(doc_len, |d| d.start);
-        let cut = inc.log.confirmed.partition_point(|c| c.scan_pos() <= limit);
-        inc.log.confirmed.truncate(cut);
+        inc.log.restart();
         let mut pos = 0usize;
-        match inc.log.confirmed.last() {
+        let mut next_ck = inc.spacing(0);
+        match inc.log.confirmed().last() {
             Some(c) => {
                 pos = c.scan_pos();
+                next_ck = pos + inc.spacing(c.bytes);
                 let s = &mut inc.scratch;
                 s.control.clear();
                 s.control.extend_from_slice(&c.state.control);
@@ -366,8 +399,8 @@ impl<V> CompiledParser<V> {
             ..ReuseStats::default()
         };
 
-        let mut si = 0usize; // next stale checkpoint to compare against
-        let mut next_ck = pos + inc.interval;
+        // whether this run has confirmed a checkpoint of its own
+        let mut took = false;
         let outcome = loop {
             if pos >= doc_len {
                 break feed_step::<A, V, O>(self, &mut inc.scratch, &[], true, obs).map(|end| {
@@ -380,12 +413,10 @@ impl<V> CompiledParser<V> {
             // stop at the next stale checkpoint's position (to test
             // for convergence) or at the next checkpoint boundary,
             // whichever comes first
-            while si < inc.log.stale.len() && inc.log.stale[si].scan_pos() <= pos {
-                si += 1;
-            }
+            inc.log.pass(pos);
             let mut target = next_ck.min(doc_len);
             if !A {
-                if let Some(c) = inc.log.stale.get(si) {
+                if let Some(c) = inc.log.next_stale() {
                     target = target.min(c.scan_pos());
                 }
             }
@@ -410,7 +441,7 @@ impl<V> CompiledParser<V> {
                 continue;
             }
             if !A {
-                if let Some(c) = inc.log.stale.get(si) {
+                if let Some(c) = inc.log.next_stale() {
                     if c.scan_pos() == pos
                         && inc.scratch.resume == c.state.resume
                         && inc.scratch.control == c.state.control
@@ -419,27 +450,29 @@ impl<V> CompiledParser<V> {
                         // previous run's at the same position, and the
                         // remaining bytes are the same document suffix
                         // — by determinism the rest of the parse is
-                        // identical. Promote the surviving stale
+                        // identical. Confirm the surviving stale
                         // checkpoints and return the recorded outcome.
+                        // A checkpoint this run took closer to this one
+                        // than its own spacing is dropped, so repeated
+                        // edits cannot crowd checkpoints together.
+                        let crowded = took
+                            && inc
+                                .log
+                                .confirmed()
+                                .last()
+                                .is_some_and(|l| l.scan_pos() + inc.spacing(l.bytes) > pos);
+                        let out = inc.log.converge(crowded);
                         inc.stats.converged = true;
                         inc.stats.suffix_reused = doc_len - pos;
-                        let mut promoted = inc.log.stale.split_off(si);
-                        inc.log.confirmed.append(&mut promoted);
-                        let out = inc
-                            .log
-                            .outcome
-                            .clone()
-                            .expect("stale checkpoints imply a recorded outcome");
-                        inc.log.dirty = None;
-                        inc.log.stale.clear();
-                        inc.stats.checkpoints = inc.log.confirmed.len();
-                        inc.stats.retained_bytes = inc.log.confirmed.iter().map(ckpt_bytes).sum();
+                        inc.stats.checkpoints = inc.log.confirmed().len();
+                        inc.stats.retained_bytes = inc.log.retained_bytes();
                         obs.reuse(&inc.stats);
                         return out.map(|()| None);
                     }
                 }
             }
             if pos >= next_ck {
+                inc.log.pass(pos);
                 let s = &inc.scratch;
                 debug_assert_eq!(
                     s.stream.offset() + s.stream.buf().len(),
@@ -448,41 +481,36 @@ impl<V> CompiledParser<V> {
                 );
                 let mut values = Vec::new();
                 fill_values(&s.values, &mut values);
-                inc.log.confirmed.push(Ckpt {
+                let bytes = ckpt_bytes(s);
+                inc.log.confirm(Ckpt {
                     snap: s.stream.snapshot(),
                     scanned: s.stream.buf().len(),
+                    bytes,
                     state: VmState {
                         control: s.control.clone(),
                         values,
                         resume: s.resume,
                     },
                 });
-                next_ck = pos + inc.interval;
+                took = true;
+                next_ck = pos + inc.spacing(bytes);
             }
         };
 
-        inc.stats.checkpoints = inc.log.confirmed.len();
-        inc.stats.retained_bytes = inc.log.confirmed.iter().map(ckpt_bytes).sum();
+        inc.log.complete(outcome.clone());
+        inc.stats.checkpoints = inc.log.confirmed().len();
+        inc.stats.retained_bytes = inc.log.retained_bytes();
         obs.reuse(&inc.stats);
-        match outcome {
-            Ok(()) => {
-                let v = if A {
-                    debug_assert_eq!(
-                        inc.scratch.values.len(),
-                        1,
-                        "parse must produce exactly one value"
-                    );
-                    inc.scratch.values.pop()
-                } else {
-                    None
-                };
-                inc.log.complete(Ok(()));
-                Ok(v)
-            }
-            Err(e) => {
-                inc.log.complete(Err(e.clone()));
-                Err(e)
-            }
-        }
+        outcome?;
+        Ok(if A {
+            debug_assert_eq!(
+                inc.scratch.values.len(),
+                1,
+                "parse must produce exactly one value"
+            );
+            inc.scratch.values.pop()
+        } else {
+            None
+        })
     }
 }

@@ -238,3 +238,55 @@ fn fresh_session_per_parse_does_allocate() {
     let (n, _) = allocs_during(|| parser.parse(&input).expect("parses"));
     assert!(n > 0, "per-call sessions should show up in the audit");
 }
+
+#[test]
+fn incremental_splices_do_not_allocate() {
+    // Editing a validated document touches only the checkpoints the
+    // edit invalidates or shifts: once the document's buffer has its
+    // capacity, a digit replacement and its restore allocate nothing,
+    // whether or not a re-validation runs between them.
+    let def = flap_grammars::json::def();
+    let parser = def.flap_parser();
+    let doc = (def.generate)(3, 256 * 1024);
+    let at = (doc.len() / 2..doc.len())
+        .find(|&i| doc[i].is_ascii_digit())
+        .expect("generated json contains digits");
+    let old = [doc[at]];
+    let new = [if doc[at] == b'7' { b'8' } else { b'7' }];
+
+    let mut inc = parser.incremental();
+    inc.splice(0..0, &doc);
+    assert_eq!(parser.validate_incremental(&mut inc), Ok(()));
+    assert!(
+        inc.stats().checkpoints > 1,
+        "the audit needs checkpoints on both sides of the edit"
+    );
+    for _ in 0..2 {
+        inc.splice(at..at + 1, &new);
+        assert_eq!(parser.validate_incremental(&mut inc), Ok(()));
+        inc.splice(at..at + 1, &old);
+        assert_eq!(parser.validate_incremental(&mut inc), Ok(()));
+    }
+
+    let mut n = 0;
+    for _ in 0..20 {
+        // back to back
+        n += allocs_during(|| {
+            inc.splice(at..at + 1, &new);
+            inc.splice(at..at + 1, &old);
+        })
+        .0;
+        assert_eq!(parser.validate_incremental(&mut inc), Ok(()));
+        // with a re-validation in between (not audited)
+        n += allocs_during(|| inc.splice(at..at + 1, &new)).0;
+        assert_eq!(parser.validate_incremental(&mut inc), Ok(()));
+        assert!(inc.stats().converged, "a digit edit re-converges");
+        n += allocs_during(|| inc.splice(at..at + 1, &old)).0;
+        assert_eq!(parser.validate_incremental(&mut inc), Ok(()));
+    }
+    assert_eq!(inc.doc(), &doc[..], "every edit was restored");
+    assert_eq!(
+        n, 0,
+        "checkpoint bookkeeping must not allocate ({n} allocations in 80 splices)"
+    );
+}

@@ -345,3 +345,114 @@ fn unstaged_incremental_agrees_with_from_scratch() {
         );
     }
 }
+
+/// A json document of about 1 MB, validated under the default config,
+/// and the offset of a digit near its middle.
+fn validated_json_mb() -> (Parser<i64>, IncrementalSession<i64>, usize) {
+    let def = flap_grammars::json::def();
+    let parser = def.flap_parser();
+    let doc = (def.generate)(41, 1 << 20);
+    let at = (doc.len() / 2..doc.len())
+        .find(|&i| doc[i].is_ascii_digit())
+        .expect("generated json contains digits");
+    let mut inc = parser.incremental();
+    inc.splice(0..0, &doc);
+    assert_eq!(parser.validate_incremental(&mut inc), Ok(()));
+    (parser, inc, at)
+}
+
+/// Validation spaces shallow checkpoints 4 KiB apart, so a small edit
+/// re-scans a few KiB at the default config, while the checkpoints
+/// keep at most an eighth of the document plus one checkpoint. With
+/// the 64 KiB cap not binding, one checkpoint is below 64 KiB / 8.
+#[test]
+fn default_validation_rescans_a_few_kib_per_edit() {
+    let (parser, mut inc, at) = validated_json_mb();
+    let doc_len = inc.doc().len();
+    let interval = IncrementalConfig::default().interval;
+    let st = inc.stats();
+    assert!(
+        st.retained_bytes <= doc_len / 8 + interval / 8,
+        "{st}: checkpoints keep more than doc_len / 8 plus one checkpoint"
+    );
+
+    let digit = inc.doc()[at];
+    inc.splice(at..at + 1, if digit == b'7' { b"8" } else { b"7" });
+    assert_eq!(parser.validate_incremental(&mut inc), Ok(()));
+    assert_eq!(parser.recognize(inc.doc()), Ok(()));
+    let st = inc.stats();
+    assert!(st.converged, "{st}: a 1-byte edit must re-converge");
+    assert!(st.parsed <= 8 * 1024, "{st}: re-scanned more than 8 KiB");
+    assert!(
+        st.retained_bytes <= doc_len / 8 + interval / 8,
+        "{st}: checkpoints keep more than doc_len / 8 plus one checkpoint"
+    );
+    assert_eq!(st.prefix_reused + st.parsed + st.suffix_reused, doc_len);
+}
+
+/// Deeply nested states make large checkpoints, so their spacing falls
+/// back to the interval: never denser than one per interval.
+#[test]
+fn deep_nesting_is_checkpointed_at_the_interval_cap() {
+    let parser = flap_grammars::json::def().flap_parser();
+    let mut doc = vec![b'['; 100_000];
+    doc.resize(200_000, b']');
+    let mut inc = parser.incremental();
+    inc.splice(0..0, &doc);
+    assert_eq!(parser.validate_incremental(&mut inc), Ok(()));
+    let interval = IncrementalConfig::default().interval;
+    let st = inc.stats();
+    assert!(
+        st.checkpoints <= doc.len() / interval + 1,
+        "{st}: deep checkpoints are denser than one per {interval} B"
+    );
+}
+
+/// Value parses keep exactly the configured interval: their checkpoints
+/// clone semantic values whose size the library cannot see.
+#[test]
+fn value_checkpoints_keep_the_configured_interval() {
+    let (parser, mut inc, _) = validated_json_mb();
+    let doc_len = inc.doc().len();
+    let interval = IncrementalConfig::default().interval;
+    assert_ne!(doc_len % interval, 0, "no checkpoint falls on the end");
+    assert!(parser.parse_incremental(&mut inc).is_ok());
+    assert_eq!(inc.stats().checkpoints, doc_len / interval);
+}
+
+/// An insertion shifts the checkpoints after it, so a re-validation
+/// reaches its own next checkpoint just before the shifted one it then
+/// converges with. That new checkpoint is dropped: repeated edits must
+/// not crowd checkpoints together.
+#[test]
+fn repeated_insertions_do_not_crowd_checkpoints() {
+    let def = flap_grammars::json::def();
+    let parser = def.flap_parser();
+    let doc = (def.generate)(42, 256 * 1024);
+    let mut inc = parser.incremental();
+    inc.splice(0..0, &doc);
+    assert_eq!(parser.validate_incremental(&mut inc), Ok(()));
+    let before = inc.stats().checkpoints;
+
+    let mut rng = StdRng::seed_from_u64(0xc0de);
+    for _ in 0..40 {
+        // a digit inserted after a nonzero digit keeps the document valid
+        let from = rng.random_range(0..doc.len());
+        let at = (from..doc.len())
+            .chain(0..from)
+            .find(|&i| (b'1'..=b'9').contains(&doc[i]))
+            .expect("generated json contains digits")
+            + 1;
+        inc.splice(at..at, b"5");
+        assert_eq!(parser.validate_incremental(&mut inc), Ok(()));
+        assert!(inc.stats().converged, "{}", inc.stats());
+        inc.splice(at..at + 1, b"");
+        assert_eq!(parser.validate_incremental(&mut inc), Ok(()));
+    }
+    assert_eq!(inc.doc(), &doc[..]);
+    let after = inc.stats().checkpoints;
+    assert!(
+        after <= before + 1,
+        "40 insertions grew the log from {before} to {after} checkpoints"
+    );
+}
