@@ -329,10 +329,12 @@ impl<S> EditLog<S> {
     /// * confirmed checkpoints with `scan_pos <= range.start` stay
     ///   confirmed (their prefix is untouched);
     /// * with `keep_stale`, checkpoints whose retained tail starts at
-    ///   or after `range.end` are (or stay) stale, offsets and
-    ///   line/column accounting shifted into post-edit coordinates;
-    /// * everything else — checkpoints overlapping the edit, and stale
-    ///   ones before it, whose suffix now contains it — is dropped, as
+    ///   or after `range.end` and after the dirty window (every edit
+    ///   since the last completed parse) are (or stay) stale, offsets
+    ///   and line/column accounting shifted into post-edit
+    ///   coordinates;
+    /// * everything else — checkpoints overlapping an edit, and those
+    ///   before one, whose recorded suffix has changed — is dropped, as
     ///   is a recorded outcome located inside the edit.
     ///
     /// # Panics
@@ -349,6 +351,11 @@ impl<S> EditLog<S> {
         let dl = count_nl(replacement) as isize - count_nl(&self.doc[range.clone()]) as isize;
         let _ = self.doc.splice(range.clone(), replacement.iter().copied());
         let new_end = range.start + replacement.len();
+        // stale checkpoints must lie beyond this edit and every earlier one
+        let beyond = self
+            .dirty
+            .as_ref()
+            .map_or(range.end, |d| d.end.max(range.end));
 
         // widen the dirty window (shifting any prior window's
         // post-edit part by delta; interior points collapse onto the
@@ -389,7 +396,7 @@ impl<S> EditLog<S> {
         let mut kept = keep;
         if keep_stale {
             for i in keep..self.ckpts.len() {
-                if self.ckpts[i].snap.offset >= range.end {
+                if self.ckpts[i].snap.offset >= beyond {
                     shift.ckpt(&mut self.ckpts[i]);
                     if kept != i {
                         self.ckpts.swap(kept, i);

@@ -170,17 +170,30 @@ fn csv_random_edits_agree_with_from_scratch() {
 /// Multiple splices between two re-parses must accumulate correctly.
 #[test]
 fn batched_splices_between_reparses_agree() {
+    batched_sweep(config(), 8 * 1024, 10, 0xbac5);
+}
+
+/// The same at the default config, whose validation checkpoints are
+/// spaced by their size (~4 KiB on json).
+#[test]
+fn batched_splices_agree_at_the_default_spacing() {
+    batched_sweep(IncrementalConfig::default(), 48 * 1024, 30, 0x5ace);
+}
+
+/// `rounds` of 1–4 random splices on a json document of `size` bytes,
+/// both sessions compared with from-scratch parses after each round.
+fn batched_sweep(config: IncrementalConfig, size: usize, rounds: usize, seed: u64) {
     let def = flap_grammars::json::def();
     let parser = def.flap_parser();
     let donor = (def.generate)(7, 1024);
-    let mut rng = StdRng::seed_from_u64(0xbac5);
+    let mut rng = StdRng::seed_from_u64(seed);
 
-    let mut val = parser.incremental_with(config());
-    let mut chk = parser.incremental_with(config());
-    let doc0 = (def.generate)(8, 8 * 1024);
+    let mut val = parser.incremental_with(config);
+    let mut chk = parser.incremental_with(config);
+    let doc0 = (def.generate)(8, size);
     val.splice(0..0, &doc0);
     chk.splice(0..0, &doc0);
-    for _ in 0..10 {
+    for _ in 0..rounds {
         for _ in 0..rng.random_range(1..=4u32) {
             let (range, repl) = random_edit(&mut rng, val.doc(), &donor);
             val.splice(range.clone(), &repl);
@@ -188,6 +201,34 @@ fn batched_splices_between_reparses_agree() {
         }
         compare(&def, &parser, &mut val, &mut chk);
     }
+}
+
+/// Splices accumulate between re-validations in any order: a
+/// checkpoint that lies after one edit but before an earlier-made edit
+/// further on must not be used for convergence, since the suffix it
+/// recorded has changed.
+#[test]
+fn convergence_never_skips_an_earlier_splice_further_on() {
+    let def = flap_grammars::json::def();
+    let parser = def.flap_parser();
+    let doc = (def.generate)(9, 16 * 1024);
+    let mut inc = parser.incremental_with(config());
+    inc.splice(0..0, &doc);
+    assert_eq!(parser.validate_incremental(&mut inc), Ok(()));
+
+    // break the document late, then change a digit early
+    let late = doc.len() * 3 / 4;
+    inc.splice(late..late, b"\x02");
+    let early = (doc.len() / 4..late)
+        .find(|&i| (b'1'..=b'9').contains(&doc[i]))
+        .expect("generated json contains digits");
+    inc.splice(
+        early..early + 1,
+        if doc[early] == b'7' { b"8" } else { b"7" },
+    );
+    let got = parser.validate_incremental(&mut inc);
+    assert_eq!(got, parser.recognize(inc.doc()));
+    assert!(got.is_err(), "the late break must be reported");
 }
 
 /// A tiny edit deep inside a large document: validation must restart
